@@ -85,7 +85,7 @@ def _run(mode: str):
         "write_mean": writes.mean,
         "write_p99": writes.percentile(99),
         "waf": result.stats.write_amplification(),
-        "idle_jobs": result.simulation.controller.gc.idle_jobs,
+        "idle_jobs": result.stats.counters["gc_idle_jobs"],
     }
 
 

@@ -197,7 +197,7 @@ def run_randomized_audit():
         result = simulation.run()
         assert not result.incomplete
         assert result.mount_reports[0].mapping_matches is True
-        losses += result.crash_stats.power_losses
+        losses += result.power_losses
         runs += 1
     return runs, losses
 

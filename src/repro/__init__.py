@@ -47,7 +47,6 @@ from repro.core.config import (
 )
 from repro.core.events import IoRequest, IoStatus, IoType
 from repro.core.power import (
-    CrashStats,
     MountReport,
     PowerLossEvent,
     PowerRestoreEvent,
@@ -85,7 +84,6 @@ __all__ = [
     "ChipTimings",
     "ControllerConfig",
     "CrashConfig",
-    "CrashStats",
     "ExperimentResult",
     "ExperimentService",
     "GridExperiment",

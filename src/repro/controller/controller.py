@@ -127,7 +127,6 @@ class SsdController:
         #: Completion interrupt handler, installed by the OS layer.
         self.on_io_complete: Callable[[IoRequest], None] = lambda io: None
         self._open_interface = config.host.open_interface
-        self.submitted_ios = 0
 
     def _draw_bad_blocks(self, config: SimulationConfig):
         """Factory bad-block map: each block bad with the configured
@@ -152,7 +151,7 @@ class SsdController:
     # ------------------------------------------------------------------
     def submit_io(self, io: IoRequest) -> None:
         """Accept a logical IO dispatched by the OS."""
-        self.submitted_ios += 1
+        self.stats.counters["submitted_ios"] += 1
         hints = self.hints_of(io)
         self.tracer.record(
             self.sim.now, "controller", "accept", f"{io.io_type} lpn={io.lpn} #{io.id}"

@@ -80,14 +80,12 @@ class DftlFtl(BaseFtl):
         #: Coalesced outstanding fetches: tp -> [(lpn, continuation)].
         self._pending_fetches: dict[int, list[tuple[int, Callable[[], None]]]] = {}
 
-        self.cmt_hits = 0
-        self.cmt_misses = 0
         assert self.num_tps == self._metadata_pseudo_lpns(controller)
-        self.evictions = 0
-        self.batched_flush_entries = 0
-        #: Translation-page reads issued for CMT misses (excludes the
-        #: read half of eviction read-modify-writes).
-        self.tp_fetch_reads = 0
+        #: Run counters (``dftl_*``), in the run-long statistics store:
+        #: CMT hits/misses/evictions, entries written back by batched
+        #: flushes, and translation-page reads issued for CMT misses
+        #: (excluding the read half of eviction read-modify-writes).
+        self.counters = controller.stats.counters
 
     def _metadata_pseudo_lpns(self, controller: "SsdController") -> int:
         """Version-table slots for the translation pages' pseudo-LPNs
@@ -191,10 +189,10 @@ class DftlFtl(BaseFtl):
         the CMT, fetching its translation page first if needed."""
         if lpn in self.cmt:
             self.cmt.move_to_end(lpn)
-            self.cmt_hits += 1
+            self.counters["dftl_cmt_hits"] += 1
             continuation()
             return
-        self.cmt_misses += 1
+        self.counters["dftl_cmt_misses"] += 1
         tp = lpn // self.entries_per_tp
         waiters = self._pending_fetches.get(tp)
         if waiters is not None:
@@ -207,7 +205,7 @@ class DftlFtl(BaseFtl):
             # but still asynchronously so callers see uniform ordering.
             self.controller.sim.post(0, self._fetch_done, tp)
             return
-        self.tp_fetch_reads += 1
+        self.counters["dftl_tp_fetch_reads"] += 1
         cmd = FlashCommand(
             CommandKind.READ,
             CommandSource.MAPPING,
@@ -242,7 +240,7 @@ class DftlFtl(BaseFtl):
     def _ensure_capacity(self) -> None:
         while len(self.cmt) >= self.cmt_capacity:
             victim_lpn, entry = self.cmt.popitem(last=False)
-            self.evictions += 1
+            self.counters["dftl_evictions"] += 1
             if entry.dirty:
                 self._flush(victim_lpn, entry)
 
@@ -261,7 +259,7 @@ class DftlFtl(BaseFtl):
                 if low <= sibling < high and sibling_entry.dirty:
                     self._persist(sibling, sibling_entry.ppn)
                     sibling_entry.dirty = False
-                    self.batched_flush_entries += 1
+                    self.counters["dftl_batched_flush_entries"] += 1
         old_tp_address = self.tp_locations.get(tp)
         if old_tp_address is not None:
             read_cmd = FlashCommand(
@@ -391,10 +389,11 @@ class DftlFtl(BaseFtl):
         return self.persisted.memory_bytes() + self.tp_locations.memory_bytes()
 
     def hit_ratio(self) -> float:
-        total = self.cmt_hits + self.cmt_misses
+        hits = self.counters["dftl_cmt_hits"]
+        total = hits + self.counters["dftl_cmt_misses"]
         if total == 0:
             return 0.0
-        return self.cmt_hits / total
+        return hits / total
 
     @staticmethod
     def _tp_pseudo_lpn(tp: int) -> int:

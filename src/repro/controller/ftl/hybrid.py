@@ -117,10 +117,8 @@ class HybridFtl(BaseFtl):
         self._merging = False
         self._lun_rotation = 0
 
-        self.full_merges = 0
-        self.switch_merges = 0
-        self.merged_pages = 0
-        self.filler_pages = 0
+        #: Run counters (``hybrid_*``), in the run-long statistics store.
+        self.counters = controller.stats.counters
         #: Flash work done by mount-time log consolidation after a crash
         #: (read by the crash coordinator to charge mount time).
         self.mount_consolidation = {"reads": 0, "programs": 0, "erases": 0}
@@ -331,7 +329,7 @@ class HybridFtl(BaseFtl):
                 if page.state.name == "LIVE" and page.content is not None
             }
         )
-        self.full_merges += 1
+        self.counters["hybrid_full_merges"] += 1
         self._merge_lbn_chain(victim, lbns, 0)
 
     def _choose_victim(self) -> Optional[tuple[tuple[int, int], int]]:
@@ -364,7 +362,7 @@ class HybridFtl(BaseFtl):
         """Promote a perfectly sequential log block to data block."""
         lbn = self._switchable_lbn(victim)
         assert lbn is not None
-        self.switch_merges += 1
+        self.counters["hybrid_switch_merges"] += 1
         old_data = self._data_block_of(lbn)
         (lun_key, block_id) = victim
         self._set_data_block(lbn, lun_key[0], lun_key[1], block_id)
@@ -409,7 +407,7 @@ class HybridFtl(BaseFtl):
         next_step = lambda: self._merge_step(lbn, new_key, snapshot, offset + 1, done)
         if source is None:
             # Filler page: keeps offsets aligned; dead on arrival.
-            self.filler_pages += 1
+            self.counters["hybrid_filler_pages"] += 1
             cmd = FlashCommand(
                 CommandKind.PROGRAM,
                 CommandSource.GC,
@@ -430,7 +428,7 @@ class HybridFtl(BaseFtl):
         self.controller.enqueue_command(read)
 
     def _merge_program(self, new_key, content, next_step) -> None:
-        self.merged_pages += 1
+        self.counters["hybrid_merged_pages"] += 1
         cmd = FlashCommand(
             CommandKind.PROGRAM,
             CommandSource.GC,
@@ -664,7 +662,7 @@ class HybridFtl(BaseFtl):
             if source is None:
                 index = new_block.program_next((lpn, 0), now)
                 new_block.invalidate(index)
-                self.filler_pages += 1
+                self.counters["hybrid_filler_pages"] += 1
             else:
                 content = self._block(
                     ((source.channel, source.lun), source.block)
@@ -682,8 +680,8 @@ class HybridFtl(BaseFtl):
                 )
             self.mount_consolidation["programs"] += 1
         self._set_data_block(lbn, lun_key[0], lun_key[1], block_id)
-        self.merged_pages += sum(1 for source in sources if source is not None)
-        self.full_merges += 1
+        self.counters["hybrid_merged_pages"] += sum(1 for source in sources if source is not None)
+        self.counters["hybrid_full_merges"] += 1
         if old_data is not None:
             touched.add(((old_data[0], old_data[1]), old_data[2]))
         for key in sorted(touched):

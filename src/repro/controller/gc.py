@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.config import GcVictimPolicy
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
-from repro.hardware.flash import Block, Lun
+from repro.hardware.flash import Lun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.controller import SsdController
@@ -93,13 +93,8 @@ class GarbageCollector:
         #: failures), queued or actively being drained for retirement.
         self._condemned: set[tuple[tuple[int, int], int]] = set()
         self._condemn_queue: dict[tuple[int, int], list[int]] = {}
-        self.condemned_retirements = 0
-        self.collected_blocks = 0
-        self.relocated_pages = 0
-        self.copyback_relocations = 0
-        self.balancing_jobs = 0
-        self.erase_only_reclaims = 0
-        self.idle_jobs = 0
+        #: Run counters (``gc_*``), in the run-long statistics store.
+        self.counters = controller.stats.counters
 
     # ------------------------------------------------------------------
     # Triggering
@@ -143,7 +138,7 @@ class GarbageCollector:
             return
         victim = self._select_balancing_victim(lun_key, lun)
         if victim is not None:
-            self.balancing_jobs += 1
+            self.counters["gc_balancing_jobs"] += 1
             self._start_job(lun_key, lun, victim, cross_lun=True)
 
     def _cross_lun_job_active(self) -> bool:
@@ -261,7 +256,7 @@ class GarbageCollector:
         victim = self._select_victim(lun_key, lun)
         if victim is None:
             return
-        self.idle_jobs += 1
+        self.counters["gc_idle_jobs"] += 1
         self._start_job(lun_key, lun, victim, cross_lun=False)
 
     def _has_pending_app_work(self, lun_key: tuple[int, int]) -> bool:
@@ -303,8 +298,8 @@ class GarbageCollector:
 
     def _erase_only_done(self, cmd: FlashCommand) -> None:
         self._erase_only.discard(cmd.context)
-        self.collected_blocks += 1
-        self.erase_only_reclaims += 1
+        self.counters["gc_collected_blocks"] += 1
+        self.counters["gc_erase_only_reclaims"] += 1
 
     def _select_balancing_victim(self, lun_key: tuple[int, int], lun: Lun) -> Optional[int]:
         candidates = np.nonzero(self._candidate_mask(lun_key, lun, False))[0]
@@ -314,12 +309,6 @@ class GarbageCollector:
         start, _ = state.block_range(lun.lun_index)
         live = state.live_count[start + candidates]
         return int(candidates[int(np.argmax(live == live.min()))])
-
-    @staticmethod
-    def _cost_benefit(block: Block, now: int) -> float:
-        utilisation = block.live_count / block.num_pages
-        age = max(1, now - block.last_write_ns)
-        return (1.0 - utilisation) / (1.0 + utilisation) * age
 
     def _being_collected(self, lun_key: tuple[int, int], block_id: int) -> bool:
         if (lun_key, block_id) in self._erase_only:
@@ -391,7 +380,7 @@ class GarbageCollector:
         controller.array.retired_blocks += 1
         self.active_jobs.pop(lun_key, None)
         self._condemned.discard((lun_key, block_id))
-        self.condemned_retirements += 1
+        self.counters["gc_condemned_retirements"] += 1
         controller.tracer.record(
             controller.sim.now,
             "controller",
@@ -447,7 +436,7 @@ class GarbageCollector:
 
     def _copyback_done(self, cmd: FlashCommand) -> None:
         assert cmd.target_address is not None and cmd.content is not None
-        self.copyback_relocations += 1
+        self.counters["gc_copybacks"] += 1
         self._relocation_done(cmd.context, cmd.content, cmd.address, cmd.target_address)
 
     def _relocate_by_read_program(self, job: _GcJob, source: PhysicalAddress) -> None:
@@ -501,7 +490,7 @@ class GarbageCollector:
         new_address: PhysicalAddress,
     ) -> None:
         self.controller.ftl.on_relocation(content, old_address, new_address)
-        self.relocated_pages += 1
+        self.counters["gc_relocated_pages"] += 1
         job.pending_relocations -= 1
         if job.pending_relocations == 0:
             if job.retire:
@@ -523,7 +512,7 @@ class GarbageCollector:
     def _erase_done(self, cmd: FlashCommand) -> None:
         job = cmd.context
         self.active_jobs.pop(job.lun_key, None)
-        self.collected_blocks += 1
+        self.counters["gc_collected_blocks"] += 1
         self.controller.tracer.record(
             self.controller.sim.now,
             "controller",

@@ -73,19 +73,11 @@ class OverloadGovernor:
         self.controller = controller
         self.sim = controller.sim
         self.config = controller.config.overload
-        #: IOs rejected because the device queue bound was reached.
-        self.busy_rejections = 0
-        #: IOs shed in degraded mode (priority above the threshold).
-        self.shed_ios = 0
-        #: IOs rejected by the degraded-mode admission rate limit.
-        self.throttled_ios = 0
-        #: Commands aborted past their queued-age budget.
-        self.command_timeouts = 0
-        #: Times the controller entered degraded mode.
-        self.degraded_entries = 0
-        #: Virtual nanoseconds spent degraded (closed intervals only;
-        #: use :meth:`time_degraded_total` for the running total).
-        self.time_degraded_ns = 0
+        #: Run counters, in the run-long statistics store: rejections
+        #: (``device_busy_rejections``, ``shed_ios``, ``throttled_ios``),
+        #: ``command_timeouts``, ``degraded_entries`` and the closed
+        #: degraded intervals (``time_degraded_ns``).
+        self.counters = controller.stats.counters
         self.degraded = False
         self._degraded_since = 0
         self._last_admitted_ns: Optional[int] = None
@@ -104,13 +96,13 @@ class OverloadGovernor:
         pending = self.controller.scheduler.total_pending()
         self._update_degraded(pending)
         if cfg.device_queue_bound is not None and pending >= cfg.device_queue_bound:
-            self.busy_rejections += 1
+            self.counters["device_busy_rejections"] += 1
             return self._reject(io, "queue-full")
         if self.degraded:
             if cfg.shed_priority_threshold is not None:
                 priority = int(self.controller.hints_of(io).get("priority", 0))
                 if priority > cfg.shed_priority_threshold:
-                    self.shed_ios += 1
+                    self.counters["shed_ios"] += 1
                     return self._reject(io, "shed")
             gap = cfg.degraded_admission_gap_ns
             if (
@@ -118,7 +110,7 @@ class OverloadGovernor:
                 and self._last_admitted_ns is not None
                 and self.sim.now - self._last_admitted_ns < gap
             ):
-                self.throttled_ios += 1
+                self.counters["throttled_ios"] += 1
                 return self._reject(io, "throttled")
         self._last_admitted_ns = self.sim.now
         return True
@@ -150,7 +142,7 @@ class OverloadGovernor:
         if not self.degraded:
             if over:
                 self.degraded = True
-                self.degraded_entries += 1
+                self.counters["degraded_entries"] += 1
                 self._degraded_since = self.sim.now
                 self.controller.tracer.record(
                     self.sim.now, "overload", "degraded-enter", f"pending={pending}"
@@ -165,8 +157,7 @@ class OverloadGovernor:
             )
         )
         if recovered:
-            self.degraded = False
-            self.time_degraded_ns += self.sim.now - self._degraded_since
+            self.leave_degraded()
             self.controller.tracer.record(
                 self.sim.now, "overload", "degraded-exit", f"pending={pending}"
             )
@@ -177,12 +168,14 @@ class OverloadGovernor:
         if self.degraded:
             self._update_degraded(self.controller.scheduler.total_pending())
 
-    def time_degraded_total(self, now: int) -> int:
-        """Total degraded time including a still-open interval."""
-        total = self.time_degraded_ns
-        if self.degraded:
-            total += now - self._degraded_since
-        return total
+    def open_degraded_ns(self) -> int:
+        """Length of the still-open degraded interval (0 when healthy)."""
+        return self.sim.now - self._degraded_since if self.degraded else 0
+
+    def leave_degraded(self) -> None:
+        """Close the open degraded interval (recovery, or power loss)."""
+        self.counters["time_degraded_ns"] += self.open_degraded_ns()
+        self.degraded = False
 
     # ------------------------------------------------------------------
     # Command timeouts
@@ -221,7 +214,7 @@ class OverloadGovernor:
         if cmd.kind is CommandKind.READ:
             lun = self.controller.array.luns[cmd.lun_key]
             lun.block(cmd.address.block).inflight_reads -= 1
-        self.command_timeouts += 1
+        self.counters["command_timeouts"] += 1
         self.controller.tracer.record(
             self.sim.now, "overload", "timeout", f"{cmd.kind} lpn={cmd.lpn} #{cmd.id}"
         )

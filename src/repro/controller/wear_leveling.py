@@ -56,8 +56,8 @@ class WearLeveler:
         self._scan_rotation = 0
         self.total_erases = 0
         self.active: dict[tuple[tuple[int, int], int], _Migration] = {}
-        self.migrations_started = 0
-        self.migrated_pages = 0
+        #: Run counters (``wl_*``), in the run-long statistics store.
+        self.counters = controller.stats.counters
 
     # ------------------------------------------------------------------
     # Hooks
@@ -128,7 +128,7 @@ class WearLeveler:
     def _migrate(self, lun_key: tuple[int, int], block_id: int) -> None:
         migration = _Migration(lun_key, block_id)
         self.active[(lun_key, block_id)] = migration
-        self.migrations_started += 1
+        self.counters["wl_migrations"] += 1
         lun = self.controller.array.luns[lun_key]
         block = lun.block(block_id)
         live_pages = block.live_page_indexes()
@@ -176,7 +176,7 @@ class WearLeveler:
         if live and cmd.content[0] >= 0:
             # Migrated data is cold by assumption (paper, option 1).
             self.controller.temperature.mark_cold(cmd.content[0])
-        self.migrated_pages += 1
+        self.counters["wl_migrated_pages"] += 1
         migration.pending -= 1
         if migration.pending == 0:
             self._issue_erase(migration)

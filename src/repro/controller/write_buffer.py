@@ -84,9 +84,8 @@ class WriteBuffer:
         #: Volatile mode only: accepted-but-unacknowledged writes per
         #: LPN, acknowledged once a flush covering their version lands.
         self._pending_acks: dict[int, list[IoRequest]] = {}
-        self.hits = 0
-        self.absorbed_rewrites = 0
-        self.flushed_pages = 0
+        #: Run counters (``buffer_*``), in the run-long statistics store.
+        self.counters = controller.stats.counters
 
     # ------------------------------------------------------------------
     # IO paths (called by the controller)
@@ -101,7 +100,7 @@ class WriteBuffer:
             self._entries[io.lpn] = _BufferedPage(hints, version)
             if io.lpn in self._flushing:
                 self._rewritten_during_flush.add(io.lpn)
-            self.absorbed_rewrites += 1
+            self.counters["buffer_absorbed_rewrites"] += 1
             self._ack_or_defer(io)
             return
         if len(self._entries) >= self.capacity:
@@ -134,7 +133,7 @@ class WriteBuffer:
         """Complete ``io`` from the buffer if the page is buffered."""
         if io.lpn not in self._entries:
             return False
-        self.hits += 1
+        self.counters["buffer_hits"] += 1
         io.data = (io.lpn, self._entries[io.lpn].version)
         self.controller.complete_quick(io)
         return True
@@ -197,7 +196,7 @@ class WriteBuffer:
 
     def _flush_done(self, lpn: int, version: int) -> None:
         self._flushing.discard(lpn)
-        self.flushed_pages += 1
+        self.counters["buffer_flushed_pages"] += 1
         self._ack_flushed(lpn, version)
         if lpn in self._rewritten_during_flush:
             # Newer content arrived mid-flush: the flash copy is already
@@ -254,7 +253,7 @@ class WriteBuffer:
                     self._entries[io.lpn] = _BufferedPage(hints, version)
                     if io.lpn in self._flushing:
                         self._rewritten_during_flush.add(io.lpn)
-                self.absorbed_rewrites += 1
+                self.counters["buffer_absorbed_rewrites"] += 1
                 self._ack_or_defer(io)
             else:
                 self._admit(io, hints, version)

@@ -5,7 +5,7 @@ volatile controller state (write buffer, cached mapping entries,
 in-flight array operations) vanishes, while flash contents -- including
 the out-of-band (lpn, version) tokens every programmed page carries --
 survive.  This module defines the schedulable event pair and the
-per-mount/aggregate reports; the orchestration lives in
+per-mount reports; the orchestration lives in
 :mod:`repro.reliability.crash`, the recovery strategies in
 :mod:`repro.reliability.recovery`.
 
@@ -24,7 +24,7 @@ and runs are bit-identical to a simulator without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -88,27 +88,3 @@ class MountReport:
     def ready_ns(self) -> int:
         """Virtual time the device accepts IO again."""
         return self.restore_ns + self.mount_time_ns
-
-
-@dataclass
-class CrashStats:
-    """Aggregate crash/recovery accounting across a whole simulation."""
-
-    power_losses: int = 0
-    mount_time_ns: int = 0
-    scanned_pages: int = 0
-    replayed_records: int = 0
-    lost_writes: int = 0
-    torn_pages: int = 0
-    checkpoints_taken: int = 0
-    checkpoint_pages_written: int = 0
-    reports: list[MountReport] = field(default_factory=list)
-
-    def add(self, report: MountReport) -> None:
-        self.power_losses += 1
-        self.mount_time_ns += report.mount_time_ns
-        self.scanned_pages += report.scanned_pages
-        self.replayed_records += report.replayed_records
-        self.lost_writes += report.lost_writes
-        self.torn_pages += report.torn_pages
-        self.reports.append(report)

@@ -22,7 +22,7 @@ from repro.controller import SsdController
 from repro.core import units
 from repro.core.config import SimulationConfig
 from repro.core.engine import Simulator
-from repro.core.power import CrashStats, PowerLossEvent
+from repro.core.power import PowerLossEvent
 from repro.core.rng import RandomSource
 from repro.core.statistics import StatisticsGatherer
 from repro.core.tracing import TraceRecorder
@@ -30,8 +30,55 @@ from repro.host.operating_system import OperatingSystem
 from repro.reliability.crash import PowerCycleCoordinator
 
 
+#: Run counters reported by :meth:`SimulationResult.summary`.  Each is
+#: incremented under this name in ``StatisticsGatherer.counters``, the
+#: run-long store every controller incarnation shares; a subsystem that
+#: is disabled never increments its names, and a missing name reads 0.
+RUN_COUNTERS = (
+    "gc_collected_blocks",
+    "gc_relocated_pages",
+    "wl_migrations",
+    # Reliability subsystem.
+    "corrected_reads",
+    "uncorrectable_reads",
+    "read_retries",
+    "parity_rebuilds",
+    "program_fails",
+    "erase_fails",
+    "runtime_retired_blocks",
+    "writes_rejected",
+    # Crash/recovery subsystem.
+    "power_losses",
+    "recovery_scanned_pages",
+    "recovery_replayed_records",
+    "lost_writes",
+    "torn_pages",
+    "checkpoints_taken",
+    "checkpoint_pages_written",
+    # Overload robustness layer.
+    "host_rejections",
+    "device_busy_rejections",
+    "shed_ios",
+    "throttled_ios",
+    "command_timeouts",
+    "io_retries",
+    "io_retries_exhausted",
+    "busy_ios",
+    "timeout_ios",
+    "degraded_entries",
+)
+
+#: Store counters outside the summary that experiments read off a result.
+EXTRA_COUNTERS = ("gc_copybacks", "wl_migrated_pages")
+
+
 class SimulationResult:
-    """Everything measured in one run."""
+    """Everything measured in one run.
+
+    Run counters live in ``stats.counters`` and read as attributes too
+    (``result.gc_collected_blocks``); the attributes set here are the
+    gauges: state read once at the end of the run.
+    """
 
     def __init__(self, simulation: "Simulation") -> None:
         self.config = simulation.config
@@ -40,55 +87,34 @@ class SimulationResult:
         self.elapsed_ns = simulation.sim.now
         self.processed_events = simulation.sim.processed_events
         controller = simulation.controller
+        counters = self.stats.counters
         self.thread_stats: dict[str, StatisticsGatherer] = {
             name: record.stats
             for name, record in simulation.os._records.items()
             if record.stats is not None
         }
-        self.gc_collected_blocks = controller.gc.collected_blocks
-        self.gc_relocated_pages = controller.gc.relocated_pages
-        self.gc_copybacks = controller.gc.copyback_relocations
-        self.wl_migrations = controller.wear_leveler.migrations_started
-        self.wl_migrated_pages = controller.wear_leveler.migrated_pages
         self.wear = controller.wear_leveler.wear_statistics()
+        #: Blocks the array has retired at runtime (physical state: the
+        #: array outlives every controller incarnation).
         self.retired_blocks = controller.array.retired_blocks
         reliability = controller.reliability
-        self.corrected_reads = reliability.corrected_reads if reliability else 0
-        self.uncorrectable_reads = reliability.uncorrectable_reads if reliability else 0
-        self.read_retries = reliability.read_retries if reliability else 0
-        self.parity_rebuilds = reliability.parity_rebuilds if reliability else 0
-        self.program_fails = reliability.program_fail_count if reliability else 0
-        self.erase_fails = reliability.erase_fail_count if reliability else 0
-        self.runtime_retired_blocks = (
-            reliability.runtime_retired_blocks if reliability else 0
-        )
-        self.writes_rejected = reliability.writes_rejected if reliability else 0
         #: Virtual time at which the device degraded to read-only mode;
         #: None when it never did (or reliability is disabled).
         self.read_only_entry_ns = reliability.read_only_entry_ns if reliability else None
         self.channel_utilisation = controller.array.channel_utilisation()
         self.lun_utilisation = controller.array.lun_utilisation()
-        #: Overload robustness layer; all zero when disabled.  The queue
-        #: high-watermarks are pure observers tracked unconditionally,
-        #: so unbounded legacy configurations expose their runaway
-        #: growth too (the E20 comparison depends on this).
+        #: The queue high-watermarks are pure observers tracked
+        #: unconditionally, so unbounded legacy configurations expose
+        #: their runaway growth too (the E20 comparison depends on this).
+        #: Earlier controller incarnations left their peak in the store.
         self.os_queue_high_watermark = simulation.os.os_queue_high_watermark
-        self.device_queue_high_watermark = (
-            controller.scheduler.max_queue_high_watermark()
+        self.device_queue_high_watermark = max(
+            counters["device_queue_high_watermark"],
+            controller.scheduler.max_queue_high_watermark(),
         )
-        self.host_rejections = simulation.os.host_rejections
-        self.io_retries = simulation.os.retries_scheduled
-        self.io_retries_exhausted = simulation.os.retries_exhausted
-        self.busy_ios = simulation.os.busy_completions
-        self.timeout_ios = simulation.os.timeout_completions
         overload = controller.overload
-        self.device_busy_rejections = overload.busy_rejections if overload else 0
-        self.shed_ios = overload.shed_ios if overload else 0
-        self.throttled_ios = overload.throttled_ios if overload else 0
-        self.command_timeouts = overload.command_timeouts if overload else 0
-        self.degraded_entries = overload.degraded_entries if overload else 0
-        self.time_degraded_ns = (
-            overload.time_degraded_total(simulation.sim.now) if overload else 0
+        self.time_degraded_ns = counters["time_degraded_ns"] + (
+            overload.open_degraded_ns() if overload else 0
         )
         #: Bytes held by the array-backed device state: FTL mapping and
         #: version tables plus the flash-array bitmaps and per-block
@@ -96,18 +122,8 @@ class SimulationResult:
         self.device_memory_bytes = (
             controller.array.state.memory_bytes() + controller.ftl.table_memory_bytes()
         )
-        #: Crash/recovery accounting; an all-zero CrashStats when no
-        #: power loss was scheduled (pay-for-what-you-use).
         coordinator = simulation._coordinator
-        crash = coordinator.stats if coordinator is not None else CrashStats()
-        if controller.checkpointer is not None:
-            crash.checkpoints_taken = controller.checkpointer.checkpoints_taken
-            crash.checkpoint_pages_written = (
-                controller.checkpointer.checkpoint_pages_written
-            )
-        self.crash_stats = crash
-        self.mount_reports = crash.reports
-        self.flash_commands = dict(controller.stats.flash_commands)
+        self.mount_reports = coordinator.reports if coordinator is not None else []
         #: True when the run ended with IOs still outstanding: either the
         #: time limit cut the workload short, or the system stalled.
         self.incomplete = simulation.os.outstanding > 0
@@ -117,66 +133,42 @@ class SimulationResult:
         #: Cached :meth:`summary`; a result is immutable once built.
         self._summary_cache: Optional[dict[str, float]] = None
 
+    def __getattr__(self, name: str) -> int:
+        if name in RUN_COUNTERS or name in EXTRA_COUNTERS:
+            return self.stats.counters[name]
+        raise AttributeError(name)
+
+    @property
+    def flash_commands(self) -> dict[tuple[str, str], int]:
+        return dict(self.stats.flash_commands)
+
     def summary(self) -> dict[str, float]:
         """Flat metrics dictionary: statistics plus internal activity."""
         if self._summary_cache is not None:
             return dict(self._summary_cache)
+        counters = self.stats.counters
         summary = self.stats.summary()
+        summary.update((name, float(counters[name])) for name in RUN_COUNTERS)
         summary.update(
             {
                 "elapsed_ms": units.to_milliseconds(self.elapsed_ns),
-                "gc_collected_blocks": float(self.gc_collected_blocks),
-                "gc_relocated_pages": float(self.gc_relocated_pages),
-                "wl_migrations": float(self.wl_migrations),
                 "wear_spread": self.wear["spread"],
                 "retired_blocks": float(self.retired_blocks),
                 "mean_channel_utilisation": (
                     sum(self.channel_utilisation) / len(self.channel_utilisation)
                 ),
                 "device_memory_bytes": float(self.device_memory_bytes),
-                # Reliability subsystem; all zero (and entry -1) when the
-                # subsystem is disabled.
-                "corrected_reads": float(self.corrected_reads),
-                "uncorrectable_reads": float(self.uncorrectable_reads),
-                "read_retries": float(self.read_retries),
-                "parity_rebuilds": float(self.parity_rebuilds),
-                "program_fails": float(self.program_fails),
-                "erase_fails": float(self.erase_fails),
-                "runtime_retired_blocks": float(self.runtime_retired_blocks),
-                "writes_rejected": float(self.writes_rejected),
+                # -1 when the device never went read-only.
                 "read_only_entry_ms": (
                     units.to_milliseconds(self.read_only_entry_ns)
                     if self.read_only_entry_ns is not None
                     else -1.0
                 ),
-                # Crash/recovery subsystem; all zero when no power loss
-                # was scheduled.
-                "power_losses": float(self.crash_stats.power_losses),
-                "mount_time_ms": units.to_milliseconds(self.crash_stats.mount_time_ns),
-                "recovery_scanned_pages": float(self.crash_stats.scanned_pages),
-                "recovery_replayed_records": float(self.crash_stats.replayed_records),
-                "lost_writes": float(self.crash_stats.lost_writes),
-                "torn_pages": float(self.crash_stats.torn_pages),
-                "checkpoints_taken": float(self.crash_stats.checkpoints_taken),
-                "checkpoint_pages_written": float(
-                    self.crash_stats.checkpoint_pages_written
-                ),
-                # Overload robustness layer; the watermarks are live for
-                # every run, the counters are zero when disabled.
+                "mount_time_ms": units.to_milliseconds(counters["mount_time_ns"]),
                 "os_queue_high_watermark": float(self.os_queue_high_watermark),
                 "device_queue_high_watermark": float(
                     self.device_queue_high_watermark
                 ),
-                "host_rejections": float(self.host_rejections),
-                "device_busy_rejections": float(self.device_busy_rejections),
-                "shed_ios": float(self.shed_ios),
-                "throttled_ios": float(self.throttled_ios),
-                "command_timeouts": float(self.command_timeouts),
-                "io_retries": float(self.io_retries),
-                "io_retries_exhausted": float(self.io_retries_exhausted),
-                "busy_ios": float(self.busy_ios),
-                "timeout_ios": float(self.timeout_ios),
-                "degraded_entries": float(self.degraded_entries),
                 "time_degraded_ms": units.to_milliseconds(self.time_degraded_ns),
             }
         )
@@ -184,61 +176,47 @@ class SimulationResult:
         return dict(summary)
 
     def report(self) -> str:
-        lines = [self.stats.report()]
-        lines.append(
+        c = self.stats.counters
+        lines = [
+            self.stats.report(),
             f"virtual time  : {units.format_time(self.elapsed_ns)}"
-            f" ({self.processed_events} events)"
-        )
-        lines.append(
-            f"GC            : {self.gc_collected_blocks} blocks, "
-            f"{self.gc_relocated_pages} pages relocated "
-            f"({self.gc_copybacks} by copyback)"
-        )
-        lines.append(
-            f"WL            : {self.wl_migrations} migrations, "
+            f" ({self.processed_events} events)",
+            f"GC            : {c['gc_collected_blocks']} blocks, "
+            f"{c['gc_relocated_pages']} pages relocated "
+            f"({c['gc_copybacks']} by copyback)",
+            f"WL            : {c['wl_migrations']} migrations, "
             f"wear spread {self.wear['spread']:.0f} "
-            f"(sd {self.wear['stddev']:.2f})"
-        )
-        lines.append(
-            "channel util  : "
-            + " ".join(f"{u:.0%}" for u in self.channel_utilisation)
-        )
-        lines.append(
+            f"(sd {self.wear['stddev']:.2f})",
+            "channel util  : " + " ".join(f"{u:.0%}" for u in self.channel_utilisation),
             f"device memory : {self.device_memory_bytes / (1 << 20):.1f} MiB "
-            "(mapping tables + bitmaps + block metadata)"
-        )
-        if (
-            self.corrected_reads
-            or self.read_retries
-            or self.parity_rebuilds
-            or self.uncorrectable_reads
-            or self.runtime_retired_blocks
-        ):
+            "(mapping tables + bitmaps + block metadata)",
+        ]
+        if any(c[name] for name in (
+            "corrected_reads", "read_retries", "parity_rebuilds",
+            "uncorrectable_reads", "runtime_retired_blocks",
+        )):
             lines.append(
-                f"reliability   : {self.corrected_reads} corrected, "
-                f"{self.read_retries} retries, {self.parity_rebuilds} rebuilds, "
-                f"{self.uncorrectable_reads} lost, "
-                f"{self.runtime_retired_blocks} blocks retired"
+                f"reliability   : {c['corrected_reads']} corrected, "
+                f"{c['read_retries']} retries, {c['parity_rebuilds']} rebuilds, "
+                f"{c['uncorrectable_reads']} lost, "
+                f"{c['runtime_retired_blocks']} blocks retired"
             )
-        if (
-            self.host_rejections
-            or self.device_busy_rejections
-            or self.shed_ios
-            or self.command_timeouts
-            or self.io_retries
-        ):
+        if any(c[name] for name in (
+            "host_rejections", "device_busy_rejections", "shed_ios",
+            "command_timeouts", "io_retries",
+        )):
             lines.append(
-                f"overload      : {self.host_rejections + self.device_busy_rejections} "
-                f"rejected, {self.shed_ios} shed, {self.command_timeouts} timed out, "
-                f"{self.io_retries} retries ({self.io_retries_exhausted} exhausted), "
+                f"overload      : {c['host_rejections'] + c['device_busy_rejections']} "
+                f"rejected, {c['shed_ios']} shed, {c['command_timeouts']} timed out, "
+                f"{c['io_retries']} retries ({c['io_retries_exhausted']} exhausted), "
                 f"{units.format_time(self.time_degraded_ns)} degraded"
             )
-        if self.crash_stats.power_losses:
+        if c["power_losses"]:
             lines.append(
-                f"crashes       : {self.crash_stats.power_losses} power losses, "
-                f"{units.format_time(self.crash_stats.mount_time_ns)} mounting, "
-                f"{self.crash_stats.scanned_pages} pages scanned, "
-                f"{self.crash_stats.lost_writes} writes lost"
+                f"crashes       : {c['power_losses']} power losses, "
+                f"{units.format_time(c['mount_time_ns'])} mounting, "
+                f"{c['recovery_scanned_pages']} pages scanned, "
+                f"{c['lost_writes']} writes lost"
             )
         return "\n".join(lines)
 
@@ -287,10 +265,6 @@ class Simulation:
     ) -> None:
         """Register a workload thread (see ``OperatingSystem.add_thread``)."""
         self.os.add_thread(thread, depends_on=depends_on, collect_stats=collect_stats)
-
-    def add_threads(self, threads: Iterable) -> None:
-        for thread in threads:
-            self.add_thread(thread)
 
     def run(self, max_time_ns: Optional[int] = None) -> SimulationResult:
         """Run to completion (or to the time limit) and collect results."""

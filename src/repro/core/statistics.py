@@ -237,6 +237,11 @@ class StatisticsGatherer:
         self.reliability_events: Counter[str] = Counter()
         #: Reliability events over time (all kinds pooled).
         self.reliability_over_time = TimeSeries(bucket_ns)
+        #: Run counters keyed by summary name (GC, wear levelling,
+        #: reliability, overload, host retries, crash recovery).  Every
+        #: controller incarnation shares the global gatherer, so these
+        #: outlive power cycles without being carried by hand.
+        self.counters: Counter[str] = Counter()
         self.first_completion_ns: Optional[int] = None
         self.last_completion_ns: Optional[int] = None
         self._completed = 0

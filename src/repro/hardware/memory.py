@@ -73,9 +73,6 @@ class MemoryManager:
     def free_ram(self, label: str) -> None:
         self.ram.free(label)
 
-    def free_battery_ram(self, label: str) -> None:
-        self.battery_ram.free(label)
-
     @property
     def ram_available(self) -> int:
         return self.ram.available_bytes

@@ -94,11 +94,6 @@ class ThreadContext:
         """Declare this thread done; dependent threads may now start."""
         self._os.finish_thread(self._record)
 
-    def send_message(self, message):
-        """Send an open-interface message to the SSD (see
-        :mod:`repro.host.interface`)."""
-        return self._os.open_interface.send(message)
-
 
 class _ThreadRecord:
     """OS-side bookkeeping for one registered thread."""
@@ -171,14 +166,12 @@ class OperatingSystem:
         #: tracked unconditionally: the legacy (unbounded) configuration
         #: needs it to *show* runaway queue growth in E20.
         self.os_queue_high_watermark = 0
-        #: IOs rejected at host admission (pool at its bound).
-        self.host_rejections = 0
-        #: Retries scheduled / abandoned by the BUSY-TIMEOUT ladder.
-        self.retries_scheduled = 0
-        self.retries_exhausted = 0
-        #: Final (post-ladder) failure deliveries, by status.
-        self.busy_completions = 0
-        self.timeout_completions = 0
+        #: Run counters, in the run-long statistics store: host admission
+        #: rejections (``host_rejections``), retries scheduled/abandoned
+        #: by the BUSY-TIMEOUT ladder (``io_retries``,
+        #: ``io_retries_exhausted``) and final failure deliveries by
+        #: status (``busy_ios``, ``timeout_ios``).
+        self.counters = stats.counters
 
     # ------------------------------------------------------------------
     # Thread registration and lifecycle
@@ -279,7 +272,7 @@ class OperatingSystem:
             and overload.host_queue_bound is not None
             and len(self.scheduler) >= overload.host_queue_bound
         ):
-            self.host_rejections += 1
+            self.counters["host_rejections"] += 1
             self.tracer.record(
                 self.sim.now, "os", "reject", f"pool-full lpn={io.lpn} #{io.id}"
             )
@@ -338,9 +331,9 @@ class OperatingSystem:
         if self._retain_ios:
             self.completed_ios.append(io)
         if io.status is IoStatus.BUSY:
-            self.busy_completions += 1
+            self.counters["busy_ios"] += 1
         elif io.status is IoStatus.TIMEOUT:
-            self.timeout_completions += 1
+            self.counters["timeout_ios"] += 1
         self.stats.record_io(io)
         record = self._records.get(io.thread_name)
         if record is not None:
@@ -368,7 +361,7 @@ class OperatingSystem:
         overload = self._overload
         if io.attempts >= overload.max_retries:
             if overload.max_retries > 0:
-                self.retries_exhausted += 1
+                self.counters["io_retries_exhausted"] += 1
             return False
         delay = int(
             overload.retry_backoff_ns
@@ -376,10 +369,10 @@ class OperatingSystem:
         )
         if overload.io_deadline_ns is not None and io.issue_time is not None:
             if self.sim.now + delay - io.issue_time > overload.io_deadline_ns:
-                self.retries_exhausted += 1
+                self.counters["io_retries_exhausted"] += 1
                 return False
         io.attempts += 1
-        self.retries_scheduled += 1
+        self.counters["io_retries"] += 1
         self.tracer.record(
             self.sim.now,
             "os",

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core.config import RecoveryStrategy
 from repro.core.events import IoRequest, IoStatus, IoType
-from repro.core.power import CrashStats, MountReport, PowerLossEvent
+from repro.core.power import MountReport, PowerLossEvent
 from repro.core.sanitize import SanitizerError
 from repro.hardware.state import popcounts
 from repro.host.interface import install_standard_handlers
@@ -142,7 +142,8 @@ class PowerCycleCoordinator:
     def __init__(self, simulation: "Simulation"):
         self.simulation = simulation
         self.auditor = DurabilityAuditor()
-        self.stats = CrashStats()
+        #: One report per power cycle, in order.
+        self.reports: list[MountReport] = []
         self.strategy = build_recovery_strategy(simulation.config.crash.strategy)
 
     # ------------------------------------------------------------------
@@ -207,7 +208,7 @@ class PowerCycleCoordinator:
         )
         new.ftl.rebuild_from_recovery(recovered.mapping, issued_versions, committed_versions)
         consolidation_ns, consolidation_erases = self._consolidation_cost(new, config)
-        self._carry_counters(old, new)
+        self._carry_state(old, new)
         if new.checkpointer is not None:
             new.checkpointer.seed(recovered.mapping)
         if new.reliability is not None and new.reliability.parity is not None:
@@ -264,7 +265,14 @@ class PowerCycleCoordinator:
             cleanup_erases=cleanup_erases + consolidation_erases,
             mapping_matches=True,
         )
-        self.stats.add(report)
+        self.reports.append(report)
+        counters = new.stats.counters
+        counters["power_losses"] += 1
+        counters["mount_time_ns"] += mount_ns
+        counters["recovery_scanned_pages"] += report.scanned_pages
+        counters["recovery_replayed_records"] += report.replayed_records
+        counters["lost_writes"] += report.lost_writes
+        counters["torn_pages"] += report.torn_pages
         new.tracer.record(
             ready_ns, "crash", "mount",
             f"{self.strategy.name}: {report.recovered_entries} entries in "
@@ -404,76 +412,26 @@ class PowerCycleCoordinator:
         )
         return ns, work["erases"]
 
-    def _carry_counters(self, old: "SsdController", new: "SsdController") -> None:
-        """Cumulative run counters survive the crash: they describe the
-        experiment, not the controller incarnation.  Everything here is
-        additive (the hybrid mount consolidation already incremented some
-        of the new FTL's merge counters)."""
-        new.submitted_ios += old.submitted_ios
-        for name in (
-            "collected_blocks",
-            "relocated_pages",
-            "copyback_relocations",
-            "balancing_jobs",
-            "erase_only_reclaims",
-            "idle_jobs",
-            "condemned_retirements",
-        ):
-            setattr(new.gc, name, getattr(new.gc, name) + getattr(old.gc, name))
-        for name in ("migrations_started", "migrated_pages", "total_erases"):
-            setattr(
-                new.wear_leveler,
-                name,
-                getattr(new.wear_leveler, name) + getattr(old.wear_leveler, name),
-            )
-        if old.write_buffer is not None and new.write_buffer is not None:
-            for name in ("hits", "absorbed_rewrites", "flushed_pages"):
-                setattr(
-                    new.write_buffer,
-                    name,
-                    getattr(new.write_buffer, name) + getattr(old.write_buffer, name),
-                )
-        for name in (
-            # DFTL
-            "cmt_hits",
-            "cmt_misses",
-            "evictions",
-            "batched_flush_entries",
-            "tp_fetch_reads",
-            # hybrid
-            "full_merges",
-            "switch_merges",
-            "merged_pages",
-            "filler_pages",
-        ):
-            if hasattr(old.ftl, name) and hasattr(new.ftl, name):
-                setattr(new.ftl, name, getattr(new.ftl, name) + getattr(old.ftl, name))
-        if old.journal is not None and new.journal is not None:
-            new.journal.total_records += old.journal.total_records
-        if old.checkpointer is not None and new.checkpointer is not None:
-            new.checkpointer.checkpoints_taken += old.checkpointer.checkpoints_taken
-            new.checkpointer.checkpoint_pages_written += (
-                old.checkpointer.checkpoint_pages_written
-            )
+    def _carry_state(self, old: "SsdController", new: "SsdController") -> None:
+        """Hand the new incarnation the behaviour state it cannot rebuild.
+
+        Run counters need nothing here: they live in the statistics
+        store both incarnations share.  The old incarnation's live
+        gauges are folded into that store (its queue high watermark as a
+        max, its open degraded interval closed at the loss)."""
+        counters = old.stats.counters
+        counters["device_queue_high_watermark"] = max(
+            counters["device_queue_high_watermark"],
+            old.scheduler.max_queue_high_watermark(),
+        )
+        if old.overload is not None:
+            old.overload.leave_degraded()
+        # Static wear levelling averages over every erase the device saw.
+        new.wear_leveler.total_erases += old.wear_leveler.total_erases
         if old.reliability is not None and new.reliability is not None:
-            for name in (
-                "corrected_reads",
-                "uncorrectable_reads",
-                "read_retries",
-                "parity_rebuilds",
-                "program_fail_count",
-                "erase_fail_count",
-                "runtime_retired_blocks",
-                "writes_rejected",
-                "max_retry_index_seen",
-            ):
-                setattr(
-                    new.reliability,
-                    name,
-                    getattr(new.reliability, name) + getattr(old.reliability, name),
-                )
             # Degradation state and fault-plan consumption are physical:
             # a remount does not un-retire blocks or re-arm spent faults.
+            new.reliability.max_retry_index_seen = old.reliability.max_retry_index_seen
             new.reliability.read_only = old.reliability.read_only
             new.reliability.read_only_entry_ns = old.reliability.read_only_entry_ns
             new.reliability._erase_attempts = dict(old.reliability._erase_attempts)

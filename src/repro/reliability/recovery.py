@@ -204,15 +204,10 @@ class ReliabilityManager:
         self.total_spares = config.spare_blocks_per_lun * len(controller.array.luns)
         self.read_only = False
         self.read_only_entry_ns: Optional[int] = None
-        # Counters surfaced through SimulationResult.summary().
-        self.corrected_reads = 0
-        self.uncorrectable_reads = 0
-        self.read_retries = 0
-        self.parity_rebuilds = 0
-        self.program_fail_count = 0
-        self.erase_fail_count = 0
-        self.runtime_retired_blocks = 0
-        self.writes_rejected = 0
+        #: Run counters (reads corrected/retried/lost/rebuilt, program
+        #: and erase failures, retirements, rejected writes), in the
+        #: run-long statistics store.
+        self.counters = controller.stats.counters
         self.max_retry_index_seen = 0
 
     # ------------------------------------------------------------------
@@ -276,22 +271,22 @@ class ReliabilityManager:
     def program_fails(self, cmd: FlashCommand, block: Block) -> bool:
         """Draw a program-failure status for a completed program."""
         if self._planned_failure(self._planned_program_fails, self._program_attempts, cmd.address):
-            self.program_fail_count += 1
+            self.counters["program_fails"] += 1
             return True
         p = self.errors.program_fail_probability
         if p > 0.0 and self._program_stream.random() < p:
-            self.program_fail_count += 1
+            self.counters["program_fails"] += 1
             return True
         return False
 
     def erase_fails(self, cmd: FlashCommand, block: Block) -> bool:
         """Draw an erase-failure status for a completing erase."""
         if self._planned_failure(self._planned_erase_fails, self._erase_attempts, cmd.address):
-            self.erase_fail_count += 1
+            self.counters["erase_fails"] += 1
             return True
         p = self.errors.erase_fail_probability
         if p > 0.0 and self._erase_stream.random() < p:
-            self.erase_fail_count += 1
+            self.counters["erase_fails"] += 1
             return True
         return False
 
@@ -308,18 +303,19 @@ class ReliabilityManager:
         """A block left service at runtime (erase failure, condemnation
         after a program failure, or worn past the endurance limit).
         Consumes one spare; entering deficit degrades to read-only."""
-        self.runtime_retired_blocks += 1
+        self.counters["runtime_retired_blocks"] += 1
+        retired = self.counters["runtime_retired_blocks"]
         self._note(
             "retire",
             f"block (c{lun_key[0]},l{lun_key[1]},b{block_id}) retired: {reason} "
-            f"({self.runtime_retired_blocks}/{self.total_spares} spares used)",
+            f"({retired}/{self.total_spares} spares used)",
         )
-        if not self.read_only and self.runtime_retired_blocks > self.total_spares:
+        if not self.read_only and retired > self.total_spares:
             self.read_only = True
             self.read_only_entry_ns = self.controller.sim.now
             self._note(
                 "read-only",
-                f"spare pool exhausted after {self.runtime_retired_blocks} retirements",
+                f"spare pool exhausted after {retired} retirements",
             )
 
     # ------------------------------------------------------------------
@@ -332,7 +328,7 @@ class ReliabilityManager:
         if not self.read_only or io.io_type is IoType.READ:
             return False
         io.status = IoStatus.READ_ONLY
-        self.writes_rejected += 1
+        self.counters["writes_rejected"] += 1
         self._note("write-rejected", f"{io.io_type} lpn={io.lpn} #{io.id}")
         self.controller.complete_quick(io)
         return True
@@ -353,7 +349,7 @@ class ReliabilityManager:
             if cmd.id in self._peer_reads:
                 return False  # its own on_complete is the rebuild bookkeeping
             if cmd.outcome is CommandOutcome.CORRECTED:
-                self.corrected_reads += 1
+                self.counters["corrected_reads"] += 1
                 self._note("corrected", f"{cmd.address} lpn={cmd.lpn} try={cmd.retry_index}")
                 return False
             if cmd.outcome is CommandOutcome.UNCORRECTABLE:
@@ -396,7 +392,7 @@ class ReliabilityManager:
         retry.retry_index = cmd.retry_index + 1
         if retry.retry_index > self.max_retry_index_seen:
             self.max_retry_index_seen = retry.retry_index
-        self.read_retries += 1
+        self.counters["read_retries"] += 1
         self._note("retry", f"{cmd.address} lpn={cmd.lpn} try={retry.retry_index}")
         self.controller.enqueue_command(retry)
 
@@ -404,7 +400,7 @@ class ReliabilityManager:
         """Retries exhausted and no parity: the data is lost.  The read
         still completes (the simulator's token survives for bookkeeping)
         but the host sees the failure status."""
-        self.uncorrectable_reads += 1
+        self.counters["uncorrectable_reads"] += 1
         self._consume_forced_read(cmd.lpn)
         if cmd.io is not None:
             cmd.io.status = IoStatus.UNCORRECTABLE
@@ -453,7 +449,7 @@ class ReliabilityManager:
                 continue
             peers.append(PhysicalAddress(channel, address.lun, address.block, address.page))
         self._rebuilds[cmd.id] = rebuild
-        self.parity_rebuilds += 1
+        self.counters["parity_rebuilds"] += 1
         self._consume_forced_read(cmd.lpn)
         self._note(
             "rebuild",
@@ -542,10 +538,10 @@ class ReliabilityManager:
                 f"retry index {self.max_retry_index_seen} exceeds ladder "
                 f"depth {self.ecc.max_retries}"
             )
-        expected_read_only = self.runtime_retired_blocks > self.total_spares
-        if self.read_only != expected_read_only:
+        retired = self.counters["runtime_retired_blocks"]
+        if self.read_only != (retired > self.total_spares):
             raise AssertionError(
-                f"read_only={self.read_only} but {self.runtime_retired_blocks} "
+                f"read_only={self.read_only} but {retired} "
                 f"retirements against {self.total_spares} spares"
             )
         if self.parity is not None:
@@ -583,7 +579,6 @@ class MappingJournal:
         #: clears so replay order is global.
         self.records: list[tuple[int, str, int, int, Optional[PhysicalAddress]]] = []
         self._seq = 0
-        self.total_records = 0
 
     def record_write(self, lpn: int, version: int, address: PhysicalAddress) -> None:
         self._append("write", lpn, version, address)
@@ -596,7 +591,6 @@ class MappingJournal:
     ) -> None:
         self._seq += 1
         self.records.append((self._seq, kind, lpn, version, address))
-        self.total_records += 1
         checkpointer = self.controller.checkpointer
         if checkpointer is not None:
             checkpointer.ensure_timer()
@@ -623,8 +617,6 @@ class CheckpointManager:
         self.interval_ns = controller.config.crash.checkpoint_interval_ns
         #: Last persisted mapping: lpn -> (address, version).
         self.checkpoint: dict[int, tuple[PhysicalAddress, int]] = {}
-        self.checkpoints_taken = 0
-        self.checkpoint_pages_written = 0
         self._overflow_scheduled = False
         self._timer_running = False
 
@@ -667,8 +659,8 @@ class CheckpointManager:
         pages = checkpoint_flash_pages(
             len(self.checkpoint), controller.config.geometry.page_size_bytes
         )
-        self.checkpoints_taken += 1
-        self.checkpoint_pages_written += pages
+        controller.stats.counters["checkpoints_taken"] += 1
+        controller.stats.counters["checkpoint_pages_written"] += pages
         now = controller.sim.now
         for _ in range(pages):
             controller.stats.record_flash_command("MAPPING", "PROGRAM", now)

@@ -14,7 +14,7 @@ class TestIoRouting:
     def test_counts_submitted_ios(self, harness):
         harness.write_sync(0)
         harness.read_sync(0)
-        assert harness.controller.submitted_ios == 2
+        assert harness.controller.stats.counters["submitted_ios"] == 2
 
     def test_unknown_io_type_rejected(self, harness):
         io = IoRequest(IoType.READ, 0)

@@ -48,8 +48,8 @@ class TestCmtBehaviour:
         harness.write_sync(1)  # miss (first touch)
         harness.read_sync(1)   # hit
         ftl = harness.controller.ftl
-        assert ftl.cmt_misses >= 1
-        assert ftl.cmt_hits >= 1
+        assert ftl.counters["dftl_cmt_misses"] >= 1
+        assert ftl.counters["dftl_cmt_hits"] >= 1
         assert 0.0 < ftl.hit_ratio() < 1.0
 
     def test_capacity_never_exceeded(self):
@@ -66,7 +66,7 @@ class TestCmtBehaviour:
             ("MAPPING", "PROGRAM"), 0
         )
         assert mapping_programs > 0
-        assert harness.controller.ftl.evictions > 0
+        assert harness.controller.ftl.counters["dftl_evictions"] > 0
 
     def test_miss_on_persisted_entry_reads_translation_page(self):
         harness = dftl_harness(cmt_entries=4)
@@ -95,19 +95,19 @@ class TestCmtBehaviour:
         for lpn in range(4):
             harness.write_sync(lpn)
         harness.write_sync(500)  # evicts lpn 0, batching 1..3 with it
-        assert harness.controller.ftl.batched_flush_entries > 0
+        assert harness.controller.ftl.counters["dftl_batched_flush_entries"] > 0
 
     def test_concurrent_misses_coalesce(self):
         harness = dftl_harness(cmt_entries=4)
         for lpn in range(32):
             harness.write_sync(lpn)
         ftl = harness.controller.ftl
-        before = ftl.tp_fetch_reads
+        before = ftl.counters["dftl_tp_fetch_reads"]
         # lpns 0 and 1 share a translation page and are both evicted now.
         harness.read(0)
         harness.read(1)
         harness.run()
-        assert ftl.tp_fetch_reads - before == 1  # one fetch, two misses
+        assert ftl.counters["dftl_tp_fetch_reads"] - before == 1  # one fetch, two misses
 
 
 class TestRamAccounting:
@@ -141,7 +141,7 @@ class TestGcInteraction:
             writes_per_lpn[lpn] = writes_per_lpn.get(lpn, 0) + 1
         harness.run()
         harness.controller.check_invariants()
-        assert harness.controller.gc.collected_blocks > 0
+        assert harness.controller.stats.counters["gc_collected_blocks"] > 0
         for lpn in list(writes_per_lpn)[:20]:
             assert harness.read_sync(lpn).data == (lpn, writes_per_lpn[lpn])
 

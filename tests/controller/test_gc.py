@@ -36,12 +36,12 @@ class TestTriggering:
         for lpn in range(32):
             harness.write(lpn)
         harness.run()
-        assert harness.controller.gc.collected_blocks == 0
+        assert harness.controller.stats.counters["gc_collected_blocks"] == 0
 
     def test_sustained_overwrites_trigger_gc(self):
         harness = gc_harness()
         overwrite_workload(harness, rounds=3)
-        assert harness.controller.gc.collected_blocks > 0
+        assert harness.controller.stats.counters["gc_collected_blocks"] > 0
         harness.controller.check_invariants()
 
     def test_watermark_restored_at_quiescence(self):
@@ -87,7 +87,7 @@ class TestDataPreservation:
                 harness.write(lpn)
                 versions[lpn] = versions.get(lpn, 0) + 1
             harness.run()
-        assert harness.controller.gc.collected_blocks > 0
+        assert harness.controller.stats.counters["gc_collected_blocks"] > 0
         harness.controller.check_invariants()
         for lpn in range(0, harness.config.logical_pages, 97):
             assert harness.read_sync(lpn).data == (lpn, versions[lpn])
@@ -114,7 +114,7 @@ class TestCopyback:
     def test_copyback_used_when_enabled(self):
         harness = gc_harness(copyback=True)
         overwrite_workload(harness, rounds=3)
-        assert harness.controller.gc.copyback_relocations > 0
+        assert harness.controller.stats.counters["gc_copybacks"] > 0
         flash = harness.controller.stats.flash_commands
         assert flash.get(("GC", "COPYBACK"), 0) > 0
         # Same-LUN relocations all use copyback; any GC read+program
@@ -144,7 +144,7 @@ class TestVictimPolicies:
         harness = gc_harness(policy=policy)
         overwrite_workload(harness, rounds=3)
         harness.controller.check_invariants()
-        assert harness.controller.gc.collected_blocks > 0
+        assert harness.controller.stats.counters["gc_collected_blocks"] > 0
 
     def test_greedy_beats_random_on_write_amplification(self):
         def uniform_overwrites(harness, count=4000):

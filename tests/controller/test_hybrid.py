@@ -69,7 +69,7 @@ class TestMerges:
         harness = hybrid_harness(log_blocks=4)
         self._fill_log(harness)
         ftl = harness.controller.ftl
-        assert ftl.full_merges > 0
+        assert ftl.counters["hybrid_full_merges"] > 0
         assert not ftl._pending_writes
         harness.controller.check_invariants()
 
@@ -93,9 +93,10 @@ class TestMerges:
         for lpn in range(harness.config.logical_pages):
             harness.write(lpn)
         harness.run()
-        assert ftl.switch_merges > 0
+        assert ftl.counters["hybrid_switch_merges"] > 0
         # A perfectly sequential fill needs (almost) no copying.
-        assert ftl.merged_pages < ftl.switch_merges * ftl.ppb / 4
+        switch_merges = ftl.counters["hybrid_switch_merges"]
+        assert ftl.counters["hybrid_merged_pages"] < switch_merges * ftl.ppb / 4
 
     def test_switch_merge_can_be_disabled(self):
         harness = hybrid_harness(switch=False)
@@ -103,8 +104,8 @@ class TestMerges:
             harness.write(lpn)
         harness.run()
         ftl = harness.controller.ftl
-        assert ftl.switch_merges == 0
-        assert ftl.full_merges > 0
+        assert ftl.counters["hybrid_switch_merges"] == 0
+        assert ftl.counters["hybrid_full_merges"] > 0
 
     def test_merges_tagged_as_gc_traffic(self):
         harness = hybrid_harness(log_blocks=4, switch=False)
@@ -117,8 +118,8 @@ class TestMerges:
     def test_generic_gc_and_wl_stand_down(self):
         harness = hybrid_harness(log_blocks=4)
         self._fill_log(harness)
-        assert harness.controller.gc.collected_blocks == 0
-        assert harness.controller.wear_leveler.migrations_started == 0
+        assert harness.controller.stats.counters["gc_collected_blocks"] == 0
+        assert harness.controller.stats.counters["wl_migrations"] == 0
 
     def test_random_writes_much_worse_than_sequential(self):
         """The canonical hybrid-FTL result (the DFTL paper's motivation):
@@ -214,7 +215,7 @@ class TestDataBlockLifecycle:
             harness.write(lpn)
             versions[lpn] = versions.get(lpn, 0) + 1
         harness.run()
-        assert ftl.full_merges > 0
+        assert ftl.counters["hybrid_full_merges"] > 0
         for lpn in range(0, span, 5):
             assert harness.read_sync(lpn).data == (lpn, versions[lpn])
 
@@ -227,5 +228,5 @@ class TestDataBlockLifecycle:
         for lbn in range(num_lbns):
             harness.write(lbn * ftl.ppb)
         harness.run()
-        assert ftl.filler_pages > 0
+        assert ftl.counters["hybrid_filler_pages"] > 0
         harness.controller.check_invariants()

@@ -34,7 +34,7 @@ class TestIdleCollection:
     def test_idle_gc_runs_during_quiet_period(self):
         harness = idle_harness()
         dirty_then_idle(harness)
-        assert harness.controller.gc.idle_jobs > 0
+        assert harness.controller.stats.counters["gc_idle_jobs"] > 0
         harness.controller.check_invariants()
 
     def test_idle_gc_raises_free_blocks_toward_target(self):
@@ -52,7 +52,7 @@ class TestIdleCollection:
 
     def test_disabled_by_default(self, harness):
         dirty_then_idle(harness)
-        assert harness.controller.gc.idle_jobs == 0
+        assert harness.controller.stats.counters["gc_idle_jobs"] == 0
 
     def test_no_idle_gc_without_garbage(self):
         harness = idle_harness()
@@ -60,7 +60,7 @@ class TestIdleCollection:
             harness.write(lpn)
         harness.run()
         harness.sim.run(until=harness.sim.now + units.milliseconds(20))
-        assert harness.controller.gc.idle_jobs == 0
+        assert harness.controller.stats.counters["gc_idle_jobs"] == 0
 
     def test_activity_defers_idle_gc(self):
         """A steady trickle of writes (gaps below the threshold) must
@@ -74,7 +74,7 @@ class TestIdleCollection:
         for step in range(40):
             harness.write(step % pages)
             harness.sim.run(until=harness.sim.now + units.milliseconds(1))
-        assert harness.controller.gc.idle_jobs == 0
+        assert harness.controller.stats.counters["gc_idle_jobs"] == 0
 
     def test_idle_gc_improves_burst_latency(self):
         """After an idle period, a write burst meets a device with spare

@@ -42,14 +42,14 @@ class TestStaticWl:
     def test_migrations_happen_under_skew(self):
         harness = wl_harness()
         hot_cold_workload(harness)
-        assert harness.controller.wear_leveler.migrations_started > 0
-        assert harness.controller.wear_leveler.migrated_pages > 0
+        assert harness.controller.stats.counters["wl_migrations"] > 0
+        assert harness.controller.stats.counters["wl_migrated_pages"] > 0
         harness.controller.check_invariants()
 
     def test_disabled_wl_never_migrates(self):
         harness = wl_harness(enabled=False)
         hot_cold_workload(harness)
-        assert harness.controller.wear_leveler.migrations_started == 0
+        assert harness.controller.stats.counters["wl_migrations"] == 0
 
     def test_wl_commands_tagged_with_source(self):
         harness = wl_harness()
@@ -78,7 +78,7 @@ class TestStaticWl:
         )
         hot_cold_workload(harness)
         detector = harness.controller.temperature
-        assert harness.controller.wear_leveler.migrated_pages > 0
+        assert harness.controller.stats.counters["wl_migrated_pages"] > 0
         assert len(detector._cold) > 0
 
     def test_data_survives_migrations(self):
@@ -95,7 +95,7 @@ class TestStaticWl:
                 harness.write(lpn)
                 versions[lpn] += 1
             harness.run()
-        assert harness.controller.wear_leveler.migrated_pages > 0
+        assert harness.controller.stats.counters["wl_migrated_pages"] > 0
         for lpn in range(pages - 1, pages - 40, -3):  # cold, likely migrated
             assert harness.read_sync(lpn).data == (lpn, versions[lpn])
 

@@ -26,14 +26,14 @@ class TestBuffering:
         harness.write_sync(2)
         io = harness.read_sync(2)
         assert io.data == (2, 1)  # buffer serves the true write version
-        assert harness.controller.write_buffer.hits == 1
+        assert harness.controller.stats.counters["buffer_hits"] == 1
 
     def test_rewrites_absorbed_in_place(self):
         harness = buffered_harness()
         for _ in range(5):
             harness.write_sync(3)
         buffer = harness.controller.write_buffer
-        assert buffer.absorbed_rewrites == 4
+        assert buffer.counters["buffer_absorbed_rewrites"] == 4
         assert buffer.buffered_pages == 1
 
     def test_battery_ram_charged(self):
@@ -59,7 +59,7 @@ class TestFlushing:
         for lpn in range(13):  # above 75% of 16
             harness.write(lpn)
         harness.run()
-        assert harness.controller.write_buffer.flushed_pages > 0
+        assert harness.controller.stats.counters["buffer_flushed_pages"] > 0
 
     def test_flushed_data_lands_on_flash_and_reads_back(self):
         harness = buffered_harness(pages=8)

@@ -60,9 +60,9 @@ class TestDataLoss:
         # The read completes (the device returns *something*) but the
         # host sees the distinct data-loss status.
         assert io.status is IoStatus.UNCORRECTABLE
-        assert manager.uncorrectable_reads == 1
-        assert manager.read_retries == 0
-        assert manager.parity_rebuilds == 0
+        assert manager.counters["uncorrectable_reads"] == 1
+        assert manager.counters["read_retries"] == 0
+        assert manager.counters["parity_rebuilds"] == 0
         # The forced mark is consumed: the next read of the LPN is fine.
         assert h.read_sync(3).status is IoStatus.OK
         h.controller.check_invariants()
@@ -75,7 +75,7 @@ class TestDataLoss:
         h.write_sync(3)
         h.write_sync(4)
         assert h.read_sync(4).status is IoStatus.OK
-        assert h.controller.reliability.uncorrectable_reads == 0
+        assert h.controller.reliability.counters["uncorrectable_reads"] == 0
 
 
 class TestRetryLadder:
@@ -89,9 +89,9 @@ class TestRetryLadder:
         good = h.read_sync(5)
         manager = h.controller.reliability
         assert bad.status is IoStatus.UNCORRECTABLE
-        assert manager.read_retries == 2
+        assert manager.counters["read_retries"] == 2
         assert manager.max_retry_index_seen == 2
-        assert manager.uncorrectable_reads == 1
+        assert manager.counters["uncorrectable_reads"] == 1
         # Each retry re-issues the flash read through the queues, so the
         # failed read is strictly slower than the clean one that follows.
         assert good.status is IoStatus.OK
@@ -131,8 +131,8 @@ class TestParityRebuild:
         io = h.read_sync(2)
         manager = h.controller.reliability
         assert io.status is IoStatus.OK  # recovered: host never notices
-        assert manager.parity_rebuilds == 1
-        assert manager.uncorrectable_reads == 0
+        assert manager.counters["parity_rebuilds"] == 1
+        assert manager.counters["uncorrectable_reads"] == 0
         h.controller.check_invariants()
 
     def test_retries_run_before_parity_kicks_in(self):
@@ -148,8 +148,8 @@ class TestParityRebuild:
         io = h.read_sync(2)
         manager = h.controller.reliability
         assert io.status is IoStatus.OK
-        assert manager.read_retries == 2
-        assert manager.parity_rebuilds == 1
+        assert manager.counters["read_retries"] == 2
+        assert manager.counters["parity_rebuilds"] == 1
         h.controller.check_invariants()
 
     def test_parity_invariant_detects_corruption(self):
@@ -191,8 +191,8 @@ class TestProgramFailure:
             h.write(i)
         h.run()
         manager = h.controller.reliability
-        assert manager.program_fail_count == 1
-        assert manager.runtime_retired_blocks == 1
+        assert manager.counters["program_fails"] == 1
+        assert manager.counters["runtime_retired_blocks"] == 1
         assert not manager.read_only  # spares absorbed the retirement
         # The write was transparently retransmitted off the bad block.
         new_addr = h.controller.ftl._map[lpn]
@@ -229,7 +229,7 @@ class TestProgramFailure:
         # Writes now fail fast with the distinct status; reads still work.
         rejected = h.write_sync(20)
         assert rejected.status is IoStatus.READ_ONLY
-        assert manager.writes_rejected == 1
+        assert manager.counters["writes_rejected"] == 1
         assert h.read_sync(lpn).status is IoStatus.OK
         h.controller.check_invariants()
 
@@ -263,8 +263,8 @@ class TestEraseFailure:
         )
         self._workload(h)
         manager = h.controller.reliability
-        assert manager.erase_fail_count == 1
-        assert manager.runtime_retired_blocks >= 1
+        assert manager.counters["erase_fails"] == 1
+        assert manager.counters["runtime_retired_blocks"] >= 1
         block = h.controller.array.luns[(target[0], target[1])].block(target[2])
         assert block.is_bad
         # The failed erase never completed: the cycle count stayed put.
