@@ -196,8 +196,6 @@ class SsdController:
     # ------------------------------------------------------------------
     def enqueue_command(self, cmd: FlashCommand) -> None:
         """Queue a flash command (used by FTL, GC, WL and tests)."""
-        if cmd.deadline is None:
-            cmd.deadline = self.scheduler.deadline_for(cmd.kind, self.sim.now)
         if cmd.kind in (CommandKind.READ, CommandKind.COPYBACK):
             lun = self.array.luns[cmd.lun_key]
             lun.block(cmd.address.block).inflight_reads += 1

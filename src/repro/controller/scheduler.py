@@ -6,24 +6,30 @@ that have been waiting in the queue for different lengths of time, which
 IO should be executed next and where?"
 
 The *where* for writes is delegated to the allocator (late page binding);
-this module answers the *which* and *when*.  It maintains one pending
-queue per LUN and, every time a channel or LUN frees, dispatches the
-best eligible command according to the configured policy:
+this module answers the *which* and *when*.  Each LUN has a pending
+queue: a dict from command id to command, so it iterates in enqueue
+order and removes in O(1).  Whenever a channel or LUN frees, each free
+channel starts the least-keyed of its free LUNs' candidates, and each
+LUN's candidate is its eligible command with the least within-LUN key.
+The policy picks the key functions once, at construction:
 
 * ``FIFO``     -- oldest first.
 * ``PRIORITY`` -- static (source, type) priorities with optional
   open-interface priority hints and an anti-starvation age threshold.
-* ``DEADLINE`` -- earliest deadline first, overdue commands ahead.
-* ``FAIR``     -- round-robin over command sources.
+* ``DEADLINE`` -- earliest deadline first (overdue commands ahead).
+* ``FAIR``     -- round-robin over command sources within a LUN, oldest
+  first across the channel.
 
-Eligibility rules keep the scheduler safe regardless of policy: an erase
-only runs once its block holds no live data and no in-flight reads, and a
-program only runs when the allocator can bind a page for it.
+Every key ends with the unique command id, so the least key is unique and
+no scan order can change the pick.  Eligibility rules keep the scheduler
+safe regardless of policy: an erase only runs once its block holds no
+live data and no in-flight reads, and a program only runs when the
+allocator can bind a page for it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.core.config import SchedulerConfig, SsdSchedulerPolicy
 from repro.core.engine import Simulator
@@ -37,69 +43,6 @@ _FAIR_ORDER = (
     CommandSource.GC,
     CommandSource.WEAR_LEVELING,
 )
-
-#: Compact a LUN queue once it holds this many tombstones and at least
-#: as many tombstones as live commands (amortised O(1) per removal).
-_COMPACT_TOMBSTONES = 32
-
-
-class LunCommandQueue:
-    """Pending commands of one LUN: append-ordered, O(1) arbitrary removal.
-
-    Dispatch removes the *best eligible* command, which for a deque costs
-    a full O(n) scan per dispatch -- quadratic when queues are deep
-    (exactly the overload regime).  Removal here marks a tombstone and
-    iteration skips dead entries; the backing list is compacted lazily
-    once tombstones dominate, so dispatch and abort stay amortised O(1)
-    at any depth.  Iteration yields live commands in enqueue order --
-    identical to the old deque, preserving scheduling bit-identity.
-    """
-
-    __slots__ = ("_items", "_dead", "high_watermark")
-
-    def __init__(self) -> None:
-        self._items: list[FlashCommand] = []
-        self._dead: set[int] = set()
-        #: Deepest the live queue has ever been (pure observer).
-        self.high_watermark = 0
-
-    def append(self, cmd: FlashCommand) -> None:
-        self._items.append(cmd)
-        depth = len(self._items) - len(self._dead)
-        if depth > self.high_watermark:
-            self.high_watermark = depth
-
-    def extend(self, cmds: Iterable[FlashCommand]) -> None:
-        for cmd in cmds:
-            self.append(cmd)
-
-    def remove(self, cmd: FlashCommand) -> None:
-        """Tombstone a queued command (dispatch or abort)."""
-        if cmd.id in self._dead:
-            raise ValueError(f"command #{cmd.id} removed twice")
-        self._dead.add(cmd.id)
-        if (
-            len(self._dead) >= _COMPACT_TOMBSTONES
-            and len(self._dead) * 2 >= len(self._items)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        dead = self._dead
-        self._items = [cmd for cmd in self._items if cmd.id not in dead]
-        dead.clear()
-
-    def __iter__(self) -> Iterator[FlashCommand]:
-        dead = self._dead
-        if not dead:
-            return iter(self._items)
-        return (cmd for cmd in self._items if cmd.id not in dead)
-
-    def __len__(self) -> int:
-        return len(self._items) - len(self._dead)
-
-    def __bool__(self) -> bool:
-        return len(self._items) > len(self._dead)
 
 
 class SsdScheduler:
@@ -117,24 +60,54 @@ class SsdScheduler:
         self.config = config
         #: Allocator predicate: can a PROGRAM/COPYBACK bind a page now?
         self.can_bind = can_bind
-        self.queues: dict[tuple[int, int], LunCommandQueue] = {
-            key: LunCommandQueue() for key in array.luns
+        #: Pending commands per LUN, keyed by command id, in enqueue order.
+        self.queues: dict[tuple[int, int], dict[int, FlashCommand]] = {
+            key: {} for key in array.luns
         }
-        #: Per-channel rotation pointer for LUN tie-breaking.
-        self._lun_rotation: dict[int, int] = {c.channel_id: 0 for c in array.channels}
-        #: Per-LUN rotation pointer over sources, for the FAIR policy.
+        #: Deepest any LUN queue has ever been (pure observer).
+        self.queue_high_watermark = 0
+        #: (LUN, its queue) pairs of each channel, indexed by channel id.
+        self._channel_luns = [
+            tuple(
+                (array.lun(channel_id, lun_id), self.queues[(channel_id, lun_id)])
+                for lun_id in range(array.geometry.luns_per_channel)
+            )
+            for channel_id in range(len(array.channels))
+        ]
+        #: FAIR: per LUN, the rank of the source served first (after the last).
         self._fair_rotation: dict[tuple[int, int], int] = {key: 0 for key in array.luns}
         self._pumping = False
-        self.enqueued_commands = 0
+        #: Deadline offset per command kind, stamped at enqueue (DEADLINE only).
+        self._deadline_ns: dict[CommandKind, int] = {}
+        policy = config.policy
+        if policy is SsdSchedulerPolicy.FIFO or policy is SsdSchedulerPolicy.FAIR:
+            self._sort_key = self._fifo_key
+        elif policy is SsdSchedulerPolicy.PRIORITY:
+            self._sort_key = self._priority_key
+        elif policy is SsdSchedulerPolicy.DEADLINE:
+            self._sort_key = self._deadline_key
+            self._deadline_ns = dict.fromkeys(CommandKind, config.write_deadline_ns)
+            self._deadline_ns[CommandKind.READ] = config.read_deadline_ns
+            self._deadline_ns[CommandKind.ERASE] = config.erase_deadline_ns
+        else:
+            raise ValueError(f"unknown scheduler policy {policy!r}")
+        #: Orders one LUN's commands (``_sort_key`` orders a channel's candidates).
+        self._within_lun_key = (
+            self._fair_key if policy is SsdSchedulerPolicy.FAIR else self._sort_key
+        )
 
     # ------------------------------------------------------------------
     # Queue interface
     # ------------------------------------------------------------------
     def enqueue(self, cmd: FlashCommand) -> None:
         """Add a command to its LUN's pending queue and try to dispatch."""
-        cmd.enqueue_time = self.sim.now
-        self.queues[cmd.lun_key].append(cmd)
-        self.enqueued_commands += 1
+        cmd.enqueue_time = now = self.sim.now
+        if cmd.deadline is None and self._deadline_ns:
+            cmd.deadline = now + self._deadline_ns[cmd.kind]
+        queue = self.queues[cmd.lun_key]
+        queue[cmd.id] = cmd
+        if len(queue) > self.queue_high_watermark:
+            self.queue_high_watermark = len(queue)
         self.pump()
 
     def queue_depth(self, lun_key: tuple[int, int]) -> int:
@@ -149,11 +122,7 @@ class SsdScheduler:
         """Remove a still-queued command (overload timeout abort).  The
         caller owns the flash-state cleanup (in-flight read accounting)
         and the IO completion."""
-        self.queues[cmd.lun_key].remove(cmd)
-
-    def max_queue_high_watermark(self) -> int:
-        """Deepest any LUN queue has ever been (overload statistics)."""
-        return max(queue.high_watermark for queue in self.queues.values())
+        del self.queues[cmd.lun_key][cmd.id]
 
     # ------------------------------------------------------------------
     # Dispatch loop
@@ -181,65 +150,37 @@ class SsdScheduler:
 
     def _dispatch_on_channel(self, channel_id: int) -> bool:
         """Start the best eligible command on one free channel."""
-        luns_per_channel = self.array.geometry.luns_per_channel
-        rotation = self._lun_rotation[channel_id]
-        best: Optional[tuple[tuple, FlashCommand]] = None
-        best_lun_offset = 0
-        for offset in range(luns_per_channel):
-            lun_id = (rotation + offset) % luns_per_channel
-            lun = self.array.lun(channel_id, lun_id)
-            if lun.is_busy:
+        best: Optional[FlashCommand] = None
+        best_key: Optional[tuple] = None
+        for lun, queue in self._channel_luns[channel_id]:
+            if lun.is_busy or not queue:
                 continue
-            candidate = self._select(lun.key)
+            candidate = self._select(queue)
             if candidate is None:
                 continue
             key = self._sort_key(candidate)
-            if best is None or key < best[0]:
-                best = (key, candidate)
-                best_lun_offset = offset
+            if best_key is None or key < best_key:
+                best, best_key = candidate, key
         if best is None:
             return False
-        cmd = best[1]
-        self.queues[cmd.lun_key].remove(cmd)
-        if self.config.policy is SsdSchedulerPolicy.FAIR:
-            self._advance_fair(cmd)
-        self._lun_rotation[channel_id] = (rotation + best_lun_offset + 1) % luns_per_channel
-        self.array.start(cmd)
+        del self.queues[best.lun_key][best.id]
+        # Only FAIR's within-LUN key reads the rotation.
+        self._fair_rotation[best.lun_key] = _FAIR_ORDER.index(best.source) + 1
+        self.array.start(best)
         return True
 
-    # ------------------------------------------------------------------
-    # Policy: candidate selection within one LUN queue
-    # ------------------------------------------------------------------
-    def _select(self, lun_key: tuple[int, int]) -> Optional[FlashCommand]:
-        queue = self.queues[lun_key]
-        if not queue:
-            return None
-        if self.config.policy is SsdSchedulerPolicy.FAIR:
-            return self._select_fair(lun_key, queue)
+    def _select(self, queue: dict[int, FlashCommand]) -> Optional[FlashCommand]:
+        """The least-keyed eligible command of one LUN queue, or None."""
         best: Optional[FlashCommand] = None
         best_key: Optional[tuple] = None
-        for cmd in queue:
+        # simlint: disable=SIM003 -- the least of unique keys does not depend on iteration order
+        for cmd in queue.values():
             if not self._eligible(cmd):
                 continue
-            key = self._sort_key(cmd)
+            key = self._within_lun_key(cmd)
             if best_key is None or key < best_key:
                 best, best_key = cmd, key
         return best
-
-    def _select_fair(
-        self, lun_key: tuple[int, int], queue: LunCommandQueue
-    ) -> Optional[FlashCommand]:
-        start = self._fair_rotation[lun_key]
-        for offset in range(len(_FAIR_ORDER)):
-            source = _FAIR_ORDER[(start + offset) % len(_FAIR_ORDER)]
-            for cmd in queue:
-                if cmd.source is source and self._eligible(cmd):
-                    return cmd
-        return None
-
-    def _advance_fair(self, cmd: FlashCommand) -> None:
-        index = _FAIR_ORDER.index(cmd.source)
-        self._fair_rotation[cmd.lun_key] = (index + 1) % len(_FAIR_ORDER)
 
     def _eligible(self, cmd: FlashCommand) -> bool:
         if cmd.kind is CommandKind.ERASE:
@@ -250,41 +191,29 @@ class SsdScheduler:
         return True
 
     # ------------------------------------------------------------------
-    # Policy: ordering
+    # Policy keys: smaller sorts first; all end with (enqueue_time, id)
     # ------------------------------------------------------------------
-    def _sort_key(self, cmd: FlashCommand) -> tuple:
-        """Smaller sorts first.  All keys end with (enqueue_time, id) so
-        ordering is total and deterministic."""
-        now = self.sim.now
-        tail = (cmd.enqueue_time or 0, cmd.id)
-        policy = self.config.policy
-        if policy is SsdSchedulerPolicy.FIFO:
-            return tail
-        if policy is SsdSchedulerPolicy.PRIORITY:
-            starved = cmd.age(now) >= self.config.starvation_age_ns
-            if starved:
-                return (0, 0, 0) + tail
-            source_prio = self.config.source_priorities.get(cmd.source.name, 9)
-            type_prio = self.config.type_priorities.get(cmd.kind.name, 9)
-            hint_prio = 0
-            if self.config.use_priority_hints and cmd.io is not None:
-                hint_prio = cmd.io.hints.get("priority", 0)
-            return (1, hint_prio, source_prio * 10 + type_prio) + tail
-        if policy is SsdSchedulerPolicy.DEADLINE:
-            deadline = cmd.deadline if cmd.deadline is not None else float("inf")
-            overdue = 0 if cmd.overdue(now) else 1
-            return (overdue, deadline) + tail
-        if policy is SsdSchedulerPolicy.FAIR:
-            return tail
-        raise ValueError(f"unknown scheduler policy {policy!r}")
+    def _fifo_key(self, cmd: FlashCommand) -> tuple:
+        return (cmd.enqueue_time or 0, cmd.id)
 
-    def deadline_for(self, kind: CommandKind, now: int) -> Optional[int]:
-        """Absolute deadline a new command of ``kind`` should carry under
-        the DEADLINE policy (None otherwise)."""
-        if self.config.policy is not SsdSchedulerPolicy.DEADLINE:
-            return None
-        if kind is CommandKind.READ:
-            return now + self.config.read_deadline_ns
-        if kind is CommandKind.ERASE:
-            return now + self.config.erase_deadline_ns
-        return now + self.config.write_deadline_ns
+    def _priority_key(self, cmd: FlashCommand) -> tuple:
+        config = self.config
+        tail = (cmd.enqueue_time or 0, cmd.id)
+        if cmd.age(self.sim.now) >= config.starvation_age_ns:
+            return (0, 0, 0) + tail
+        source_prio = config.source_priorities.get(cmd.source.name, 9)
+        type_prio = config.type_priorities.get(cmd.kind.name, 9)
+        hint_prio = 0
+        if config.use_priority_hints and cmd.io is not None:
+            hint_prio = cmd.io.hints.get("priority", 0)
+        return (1, hint_prio, source_prio * 10 + type_prio) + tail
+
+    def _deadline_key(self, cmd: FlashCommand) -> tuple:
+        # ``enqueue`` stamps every command's deadline under this policy, so
+        # the earliest deadline also puts every overdue command first.
+        return (cmd.deadline, cmd.enqueue_time or 0, cmd.id)
+
+    def _fair_key(self, cmd: FlashCommand) -> tuple:
+        rotation = self._fair_rotation[cmd.lun_key]
+        rank = (_FAIR_ORDER.index(cmd.source) - rotation) % len(_FAIR_ORDER)
+        return (rank, cmd.enqueue_time or 0, cmd.id)

@@ -283,6 +283,33 @@ class SchedulerConfig:
     def copy(self) -> "SchedulerConfig":
         return copy.deepcopy(self)
 
+    def validate(self) -> None:
+        # Imported here: the hardware layer imports this module.
+        from repro.hardware.commands import CommandKind, CommandSource
+
+        if not isinstance(self.policy, SsdSchedulerPolicy):
+            raise ValueError(
+                f"scheduler.policy must be an SsdSchedulerPolicy, got {self.policy!r}"
+            )
+        for name, priorities, known in (
+            ("source_priorities", self.source_priorities, CommandSource.__members__),
+            ("type_priorities", self.type_priorities, CommandKind.__members__),
+        ):
+            for key, value in priorities.items():
+                if key not in known:
+                    raise ValueError(f"scheduler.{name} key {key!r} is not one of {list(known)}")
+                # The PRIORITY key ranks source * 10 + type.
+                if not 0 <= value <= 9:
+                    raise ValueError(f"scheduler.{name}[{key!r}] must be in [0, 9]")
+        for name in (
+            "read_deadline_ns",
+            "write_deadline_ns",
+            "erase_deadline_ns",
+            "starvation_age_ns",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"scheduler.{name} must be positive")
+
 
 @dataclass
 class WearLevelingConfig:
@@ -744,6 +771,7 @@ class SimulationConfig:
         self.geometry.validate()
         self.timings.validate()
         self.controller.validate(self.geometry)
+        self.controller.scheduler.validate()
         self.host.validate()
         self.reliability.validate(self.geometry)
         self.crash.validate()

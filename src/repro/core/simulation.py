@@ -110,7 +110,7 @@ class SimulationResult:
         self.os_queue_high_watermark = simulation.os.os_queue_high_watermark
         self.device_queue_high_watermark = max(
             counters["device_queue_high_watermark"],
-            controller.scheduler.max_queue_high_watermark(),
+            controller.scheduler.queue_high_watermark,
         )
         overload = controller.overload
         self.time_degraded_ns = counters["time_degraded_ns"] + (

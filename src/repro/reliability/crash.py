@@ -422,7 +422,7 @@ class PowerCycleCoordinator:
         counters = old.stats.counters
         counters["device_queue_high_watermark"] = max(
             counters["device_queue_high_watermark"],
-            old.scheduler.max_queue_high_watermark(),
+            old.scheduler.queue_high_watermark,
         )
         if old.overload is not None:
             old.overload.leave_degraded()

@@ -89,3 +89,13 @@ def make_harness(mutate=None) -> ControllerHarness:
     if mutate is not None:
         mutate(config)
     return ControllerHarness(config)
+
+
+def enqueue_held(scheduler, commands) -> None:
+    """Enqueue without dispatching: a pump already in progress is a no-op."""
+    scheduler._pumping = True
+    try:
+        for cmd in commands:
+            scheduler.enqueue(cmd)
+    finally:
+        scheduler._pumping = False

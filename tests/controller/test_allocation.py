@@ -44,8 +44,8 @@ class TestPlacement:
         harness = alloc_harness(AllocationPolicy.LEAST_QUEUED)
         # Load one LUN's queue artificially.
         busy_key = (0, 0)
-        harness.controller.scheduler.queues[busy_key].extend(
-            _program(busy_key) for _ in range(5)
+        harness.controller.scheduler.queues[busy_key].update(
+            (cmd.id, cmd) for cmd in (_program(busy_key) for _ in range(5))
         )
         picked, _ = harness.controller.allocator.place_write(0, {})
         assert picked != busy_key

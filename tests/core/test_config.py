@@ -122,6 +122,44 @@ class TestSimulationConfig:
             config.validate()
 
 
+class TestSchedulerConfig:
+    """``SimulationConfig.validate`` checks the SSD scheduler's knobs."""
+
+    def _rejects(self, mutate, match):
+        config = small_config()
+        mutate(config.controller.scheduler)
+        with pytest.raises(ValueError, match=match):
+            config.validate()
+
+    def test_misspelled_source_rejected(self):
+        self._rejects(
+            lambda s: s.source_priorities.__setitem__("APPLICATON", 0), "APPLICATON"
+        )
+
+    def test_unknown_command_kind_rejected(self):
+        self._rejects(lambda s: s.type_priorities.__setitem__("WRITE", 0), "WRITE")
+
+    def test_priority_outside_one_digit_rejected(self):
+        self._rejects(lambda s: s.type_priorities.__setitem__("READ", 10), "READ")
+
+    def test_negative_deadline_rejected(self):
+        self._rejects(lambda s: setattr(s, "read_deadline_ns", -5), "read_deadline_ns")
+
+    def test_negative_starvation_age_rejected(self):
+        self._rejects(lambda s: setattr(s, "starvation_age_ns", -1), "starvation_age_ns")
+
+    def test_policy_string_rejected(self):
+        self._rejects(lambda s: setattr(s, "policy", "fifo"), "policy")
+
+    def test_partial_priority_tables_accepted(self):
+        config = small_config()
+        config.controller.scheduler.type_priorities = {
+            "PROGRAM": 0, "READ": 1, "COPYBACK": 2, "ERASE": 3,
+        }
+        config.controller.scheduler.source_priorities = {"GC": 0}
+        config.validate()
+
+
 class TestPathAccess:
     def test_set_and_get_by_path(self):
         config = small_config()

@@ -1,107 +1,108 @@
-"""LunCommandQueue: O(1) removal semantics and scaling.
+"""The scheduler's per-LUN queues: O(1) removal semantics and scaling.
 
-The scheduler's per-LUN queues used to be deques; dispatch and abort did
-``deque.remove`` -- an O(n) scan that turns quadratic exactly in the
-overload regime the governor is built for.  The tombstone-backed
-replacement must behave *identically* as a container (enqueue-ordered
-iteration, the same membership) while keeping removal amortised O(1).
+Each LUN queue is a plain dict from command id to command.  Dispatch and
+abort remove the chosen command by id.  A dict iterates in insertion
+(enqueue) order, removes in O(1) and raises on a second removal, so the
+queue behaves like the ordered list it models without the O(n)
+``list.remove`` scan that turns quadratic exactly in the overload regime
+the governor is built for.
 """
 
 from __future__ import annotations
 
+import gc
+import time
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.controller.scheduler import LunCommandQueue
+from repro.core.config import SsdSchedulerPolicy
 from repro.hardware.addresses import PhysicalAddress
 from repro.hardware.commands import CommandKind, CommandSource, FlashCommand
 
+from tests.controller.conftest import enqueue_held, make_harness
 
-def _command() -> FlashCommand:
+
+def _command(lun=(0, 0)) -> FlashCommand:
     return FlashCommand(
         CommandKind.READ,
         CommandSource.APPLICATION,
-        PhysicalAddress(channel=0, lun=0, block=0, page=0),
+        PhysicalAddress(channel=lun[0], lun=lun[1], block=0, page=0),
     )
+
+
+def _scheduler():
+    harness = make_harness(
+        lambda config: setattr(config.controller.scheduler, "policy", SsdSchedulerPolicy.FIFO)
+    )
+    return harness.controller.scheduler
 
 
 class TestSemantics:
     def test_append_iter_len(self):
-        queue = LunCommandQueue()
+        scheduler = _scheduler()
         commands = [_command() for _ in range(5)]
-        for cmd in commands:
-            queue.append(cmd)
-        assert list(queue) == commands
-        assert len(queue) == 5
+        enqueue_held(scheduler, commands)
+        queue = scheduler.queues[(0, 0)]
+        assert list(queue.values()) == commands
+        assert len(queue) == 5 == scheduler.queue_depth((0, 0))
         assert bool(queue)
 
     def test_remove_skips_in_iteration(self):
-        queue = LunCommandQueue()
+        scheduler = _scheduler()
         commands = [_command() for _ in range(5)]
-        queue.extend(commands)
-        queue.remove(commands[2])
-        assert list(queue) == [commands[0], commands[1], commands[3], commands[4]]
+        enqueue_held(scheduler, commands)
+        scheduler.abort(commands[2])
+        queue = scheduler.queues[(0, 0)]
+        assert list(queue.values()) == [commands[0], commands[1], commands[3], commands[4]]
         assert len(queue) == 4
 
+    def test_many_removals_keep_enqueue_order(self):
+        scheduler = _scheduler()
+        commands = [_command() for _ in range(100)]
+        enqueue_held(scheduler, commands)
+        removed = set(commands[:64:2])
+        for cmd in commands[:64:2]:
+            scheduler.abort(cmd)
+        expected = [cmd for cmd in commands if cmd not in removed]
+        assert list(scheduler.queues[(0, 0)].values()) == expected
+
     def test_double_remove_raises(self):
-        queue = LunCommandQueue()
+        scheduler = _scheduler()
         cmd = _command()
-        queue.append(cmd)
-        queue.remove(cmd)
-        try:
-            queue.remove(cmd)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("second remove must raise")
+        enqueue_held(scheduler, [cmd])
+        scheduler.abort(cmd)
+        with pytest.raises(KeyError):
+            scheduler.abort(cmd)
 
     def test_empty_queue_is_falsy(self):
-        queue = LunCommandQueue()
+        scheduler = _scheduler()
+        queue = scheduler.queues[(0, 0)]
         assert not queue
         assert len(queue) == 0
         cmd = _command()
-        queue.append(cmd)
-        queue.remove(cmd)
+        enqueue_held(scheduler, [cmd])
+        scheduler.abort(cmd)
         assert not queue
+        assert scheduler.total_pending() == 0
 
     def test_high_watermark_tracks_live_depth(self):
-        queue = LunCommandQueue()
+        scheduler = _scheduler()
         commands = [_command() for _ in range(4)]
-        queue.extend(commands[:3])
-        assert queue.high_watermark == 3
-        queue.remove(commands[0])
-        queue.remove(commands[1])
-        queue.append(commands[3])
+        enqueue_held(scheduler, commands[:3])
+        assert scheduler.queue_high_watermark == 3
+        scheduler.abort(commands[0])
+        scheduler.abort(commands[1])
+        enqueue_held(scheduler, commands[3:])
         # Live depth never exceeded 3.
-        assert queue.high_watermark == 3
-
-
-class TestCompaction:
-    def test_backing_list_stays_bounded(self):
-        """The actual O(1) guarantee: tombstones never dominate, so the
-        backing list is proportional to the live size regardless of how
-        many commands have passed through."""
-        queue = LunCommandQueue()
-        live: list[FlashCommand] = []
-        for round_ in range(200):
-            for _ in range(8):
-                cmd = _command()
-                queue.append(cmd)
-                live.append(cmd)
-            for _ in range(8):
-                queue.remove(live.pop(0))
-            # At most: live commands + one compaction threshold of dead.
-            assert len(queue._items) <= len(live) + 2 * 32 + 8
-        assert len(queue) == 0
-
-    def test_compaction_preserves_order(self):
-        queue = LunCommandQueue()
-        commands = [_command() for _ in range(100)]
-        queue.extend(commands)
-        for cmd in commands[:64:2]:  # force a compaction mid-stream
-            queue.remove(cmd)
-        expected = [c for c in commands if c not in set(commands[:64:2])]
-        assert list(queue) == expected
+        assert scheduler.queue_high_watermark == 3
+        # The watermark is the deepest single LUN queue, not the total.
+        enqueue_held(scheduler, [_command(lun=(0, 1)) for _ in range(3)])
+        assert scheduler.total_pending() == 5
+        assert scheduler.queue_high_watermark == 3
+        enqueue_held(scheduler, [_command(lun=(0, 1))])
+        assert scheduler.queue_high_watermark == 4
 
 
 @given(
@@ -113,49 +114,57 @@ class TestCompaction:
 )
 @settings(max_examples=50, deadline=None)
 def test_matches_reference_list(ops):
-    """Random append/remove interleavings behave exactly like a plain
-    list with list.remove -- the pre-refactor semantics."""
-    queue = LunCommandQueue()
+    """Random enqueue/abort interleavings behave exactly like a plain
+    list with list.remove, and the watermark is the deepest the live
+    list has been."""
+    scheduler = _scheduler()
+    queue = scheduler.queues[(0, 0)]
     reference: list[FlashCommand] = []
+    deepest = 0
     for is_remove, index in ops:
         if is_remove and reference:
             victim = reference.pop(index % len(reference))
-            queue.remove(victim)
+            scheduler.abort(victim)
         else:
             cmd = _command()
-            queue.append(cmd)
+            enqueue_held(scheduler, [cmd])
             reference.append(cmd)
-        assert list(queue) == reference
+        deepest = max(deepest, len(reference))
+        assert list(queue.values()) == reference
         assert len(queue) == len(reference)
         assert bool(queue) == bool(reference)
+        assert scheduler.queue_high_watermark == deepest
+
+
+def _removal_seconds(depth: int, drain: bool) -> float:
+    """Best of five: empty a ``depth``-deep LUN queue front to back the
+    way dispatch does (``drain``) or by aborting from the back."""
+    best = float("inf")
+    for _ in range(5):
+        scheduler = _scheduler()
+        commands = [_command() for _ in range(depth)]
+        enqueue_held(scheduler, commands)
+        queue = scheduler.queues[(0, 0)]
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            if drain:
+                for cmd in commands:
+                    del queue[cmd.id]
+            else:
+                for cmd in reversed(commands):
+                    scheduler.abort(cmd)
+            best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+        assert not queue
+    return best
 
 
 def test_deep_queue_dispatch_is_not_quadratic():
-    """Regression for the O(n) deque.remove: drain a deep queue front to
-    back and require the total backing-list traffic to stay linear.  The
-    old implementation shifted the full tail on every removal (~n^2/2
-    element moves); tombstoning plus lazy compaction moves each element
-    only a handful of times."""
-    depth = 20_000
-    queue = LunCommandQueue()
-    commands = [_command() for _ in range(depth)]
-    queue.extend(commands)
-
-    moves = 0
-    original_compact = LunCommandQueue._compact
-
-    def counting_compact(self):
-        nonlocal moves
-        moves += len(self._items)
-        original_compact(self)
-
-    LunCommandQueue._compact = counting_compact
-    try:
-        for cmd in commands:
-            queue.remove(cmd)
-    finally:
-        LunCommandQueue._compact = original_compact
-    assert len(queue) == 0
-    # Each element is touched O(1) times amortised; allow a generous
-    # constant.  A shifting deque would score ~depth^2 / 2 = 2e8 here.
-    assert moves <= depth * 8
+    """Regression for the O(n) deque.remove: emptying a queue ten times
+    as deep must take about ten times as long, not a hundred."""
+    for drain in (True, False):
+        shallow = _removal_seconds(2_000, drain)
+        deep = _removal_seconds(20_000, drain)
+        assert deep < 30 * shallow, (drain, shallow, deep)

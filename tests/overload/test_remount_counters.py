@@ -122,13 +122,13 @@ def test_device_queue_watermark_is_max_over_incarnations():
     power_cycle = simulation._coordinator.power_cycle
 
     def recording_power_cycle(loss):
-        peaks.append(simulation.controller.scheduler.max_queue_high_watermark())
+        peaks.append(simulation.controller.scheduler.queue_high_watermark)
         return power_cycle(loss)
 
     simulation._coordinator.power_cycle = recording_power_cycle
     result = simulation.run()
     assert not result.incomplete
-    peaks.append(simulation.controller.scheduler.max_queue_high_watermark())
+    peaks.append(simulation.controller.scheduler.queue_high_watermark)
     assert len(peaks) == 2
     # The pre-crash burst is the deeper one, so losing it is visible.
     assert peaks[0] > peaks[1]
